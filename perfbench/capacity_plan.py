@@ -23,10 +23,15 @@ from assets import build_assets, simulated_truth
 from common import Check, Deadline, Pass, cache_layer, finish_serial, time_op
 
 GPU = "A100"
-TAIL_PERCENTILE = 90.0
-BATCHES = (8, 16, 32, 64, 128, 256)
-QPS = (1_000, 5_000, 20_000, 50_000, 100_000, 200_000)
-SLO_MS = (1.0, 2.0, 5.0, 10.0, 20.0)
+TAIL_PERCENTILE = 85.0
+#: ``repro capacity``'s default ``--batches`` ladder.
+BATCHES = (1, 2, 4, 8, 16, 32, 64, 128)
+#: (QPS, p99 SLO ms) targets the repository's own documentation and
+#: examples plan for on one node: the README and ``repro capacity``
+#: usage (100k, 2 ms), ``examples/capacity_planning.py`` (100k, 10 ms),
+#: ``docs/SERVING.md`` (50k, 5 ms) and ``docs/SWEEPS.md`` (120k, 10 ms).
+#: No recorded query trace exists to draw them from.
+TARGETS = ((100_000, 2.0), (100_000, 10.0), (50_000, 5.0), (120_000, 10.0))
 VALIDATE_TOP_K = 2
 VALIDATE_REQUESTS = 1000
 STREAM_LENGTH = 5_000
@@ -48,9 +53,7 @@ def make_inputs(seed: int, length: int = STREAM_LENGTH) -> list[tuple]:
             spec = design_walk.draw_config(rng)
             if spec[0] != "DLRM":
                 continue
-        queries.append(
-            (spec, rng.choice(QPS), rng.choice(SLO_MS), rng.randrange(1 << 16))
-        )
+        queries.append((spec, *rng.choice(TARGETS), rng.randrange(1 << 16)))
     return queries
 
 

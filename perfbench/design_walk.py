@@ -21,7 +21,7 @@ from assets import build_assets, simulated_truth
 from common import Check, Deadline, Pass, cache_layer, finish_serial, time_op
 
 GPU = "V100"
-TAIL_PERCENTILE = 99.0
+TAIL_PERCENTILE = 98.0
 #: Configurations generated per seed; a pass stops early if it runs out.
 STREAM_LENGTH = 10_000
 #: Leading ops of the stream whose predictions the output checks compare

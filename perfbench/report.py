@@ -23,7 +23,7 @@ ML_KERNEL_TYPES = ("gemm", "transpose", "tril_fwd", "tril_bwd")
 #: benchmark's own op span around the calls into the package).
 SELF_TIME_LAYERS = (
     "bench", "capacity", "e2e", "graph", "microbench", "models", "multigpu",
-    "overheads", "perfmodels", "serving", "simulator", "sweep",
+    "overheads", "perfmodels", "service", "serving", "simulator", "sweep",
 )
 
 #: Per-layer metric -> (unit, how to read it from the traced run).
@@ -85,6 +85,9 @@ PER_LAYER = {
         "ratio", ("ratio", "service.memo_hits", "service.memo_misses"),
     ),
     "service.memo_invalidations": ("count", ("count", "service.memo_invalidations")),
+    "service.execute_s": ("s", ("span_s", ("service.execute",))),
+    "service.closed_mean_batch": ("count", ("count", "service.closed_mean_batch")),
+    "service.closed_wait_share": ("ratio", ("count", "service.closed_wait_share")),
     "service.register_s": ("s", ("span_s", ("service.register",))),
     "service.generator_lag_ms": ("ms", ("count", "service.generator_lag_ms")),
     "service.unpriceable_sent": ("count", ("count", "service.unpriceable_sent")),
@@ -112,6 +115,9 @@ PER_LAYER = {
     **{f"{layer}.self_s": ("s", ("self_s", layer)) for layer in SELF_TIME_LAYERS},
     "trace.overhead_ratio": ("ratio", "overhead"),
 }
+
+#: Latency percentiles the run record keeps besides the gated ones.
+PERCENTILES = (50, 75, 90, 95, 98, 99)
 
 END_TO_END_UNITS = {
     "setup_s": "s",
@@ -209,6 +215,10 @@ def emit(args, workload, import_s, setup_times, setup_slowdown, calibration,
     correct = failed == 0 and not verdict.problems and bool(verdict.e2e_errors)
     latencies = measured.latencies_s
     tail = workload.TAIL_PERCENTILE
+    normalized = [
+        latency / slowdown
+        for latency, slowdown in zip(latencies, measured.slowdowns)
+    ]
     if args.trace:
         overhead = (
             (measured.attempted / measured.cpu_s)
@@ -218,10 +228,6 @@ def emit(args, workload, import_s, setup_times, setup_slowdown, calibration,
         metrics = _per_layer(tracer, counts, import_s, overhead)
         raw = {}
     else:
-        normalized = [
-            latency / slowdown
-            for latency, slowdown in zip(latencies, measured.slowdowns)
-        ]
         raw = {
             "setup_s": import_s + statistics.median(setup_times),
             "throughput_per_s": measured.throughput,
@@ -266,6 +272,12 @@ def emit(args, workload, import_s, setup_times, setup_slowdown, calibration,
             "samples": len(latencies),
             "tail_percentile": tail,
             "beyond_tail": sum(x > tail_s for x in latencies),
+            "percentiles_ms": {
+                str(p): percentile_ms(normalized, p) for p in PERCENTILES
+            },
+            "raw_percentiles_ms": {
+                str(p): percentile_ms(latencies, p) for p in PERCENTILES
+            },
         },
         "attempted": measured.attempted,
         "failed": failed,

@@ -1,13 +1,19 @@
 """service-open: requests to a resident ``PredictionService``.
 
-One generator thread sends requests into a service with at most
-``nproc`` workers, warmed in set-up with every distinct request: first
-in a closed loop, then open-loop Poisson at a doubling rate ladder and
-in a saturating burst.  Requests draw a Zipf-popular graph from a pool
-of DLRM and recommender graphs at several batch sizes, mix the
-``predict``, ``kernel_only`` and ``memory`` kinds, and name one of two
-overhead-DB labels.  Open-loop requests are timed from their due
-times; one unresolved at its step's drain deadline counts as failed.
+One generator thread sends requests into a service with one worker,
+warmed in set-up with every distinct request: first in a closed loop
+that keeps two full micro-batches in flight, then open-loop Poisson at
+a doubling rate ladder and in a saturating burst.  Requests draw a Zipf-popular graph from a pool of DLRM and
+recommender graphs at several batch sizes, one of the three request
+kinds and one of two overhead-DB labels, kinds and labels uniformly.
+Open-loop requests are timed from their due times; one unresolved at
+its step's drain deadline counts as failed.
+
+The request mix is an assumption: the repository holds no recorded
+request trace.  The pool's batch sizes are ``repro serve``'s default
+``--batches``; the Zipf exponent is the textbook 1; the pool size is
+chosen so that it holds the three Table III DLRMs at every batch size,
+most popular first, and as many seeded design-walk configurations.
 
 Before every step (at least once a second) the generator re-registers
 the ``shared`` label with the other of two databases built in set-up,
@@ -21,7 +27,6 @@ alone), a known defect that would fail requests at random.
 from __future__ import annotations
 
 import math
-import os
 import random
 import threading
 import time
@@ -32,6 +37,8 @@ import repro.e2e
 import repro.models
 import repro.service
 from repro.baselines import predict_kernel_only_us
+from repro.service import REQUEST_KINDS
+from repro.serving import BatchingPolicy
 
 import design_walk
 from assets import build_assets, profile_overheads, simulated_truth
@@ -39,14 +46,21 @@ from common import Check, Pass
 
 GPU = "V100"
 TAIL_PERCENTILE = 75.0
-CLOSED_SHARE = 0.4
-#: Draws generated per second of the closed-loop phase (more than it uses).
-CLOSED_DRAW_RATE = 3000
+#: Service worker threads.  A micro-batch's work holds the GIL, so a
+#: second worker adds contention, not throughput (measured: one worker
+#: served about 10% more requests per second than two on a 2-vCPU host).
+WORKERS = 1
+#: Requests the closed loop keeps in flight: two full micro-batches, so
+#: one seals on fill while the other executes, never on the seal timeout.
+CLOSED_IN_FLIGHT = 2 * BatchingPolicy().max_batch
+CLOSED_SHARE = 0.6
+#: Draws generated per closed-loop step (more than one step uses).
+CLOSED_DRAWS = 50_000
 LADDER = (200, 400, 800, 1600, 3200, 6400)
 STEP_REQUESTS = 300
 LATENCY_LIMIT_S = 0.050
 SATURATION_RATE = 50_000
-SATURATION_REQUESTS = 3000
+SATURATION_REQUESTS = 1500
 #: The burst queues every request at once; it may take this long.
 SATURATION_DRAIN_S = 10.0
 #: How long past a step's last due time its requests may take to resolve.
@@ -54,10 +68,9 @@ DRAIN_S = 2.0
 WARM_TIMEOUT_S = 60.0
 SWAP_EVERY_S = 1.0
 POOL_TABLE_III = ("DLRM_default", "DLRM_MLPerf", "DLRM_DDP")
-POOL_BATCHES = (256, 1024, 4096)
-POOL_SEEDED = 16
-ZIPF_S = 1.1
-KINDS = (("predict", 0.6), ("kernel_only", 0.25), ("memory", 0.15))
+POOL_BATCHES = (256, 512, 1024)
+POOL_SEEDED = 9
+ZIPF_S = 1.0
 LABELS = ("shared", "individual")
 #: The accuracy metrics price a fixed seed's graph pool, so they compare
 #: across workload seeds and repeat exactly.
@@ -65,32 +78,38 @@ ACCURACY_SEED = 0
 
 
 def make_inputs(seed: int) -> dict:
-    """The graph pool's specs; arrivals and draws derive from ``seed``."""
+    """The graph pool's specs in popularity order; the seeded configs,
+    arrivals and draws derive from ``seed``.
+
+    The Table III DLRMs lead the popularity order, so most requests ask
+    about the same graphs under every seed.
+    """
     rng = random.Random(seed)
     pool = [(name, batch) for name in POOL_TABLE_III for batch in POOL_BATCHES]
-    while len(pool) < len(POOL_TABLE_III) * len(POOL_BATCHES) + POOL_SEEDED:
-        pool.append(design_walk.draw_config(rng))
-    rng.shuffle(pool)
+    pool += [design_walk.draw_config(rng) for _ in range(POOL_SEEDED)]
     return {"pool": pool, "seed": seed}
 
 
+def _draws(inputs, rng, count: int) -> list[tuple]:
+    """``count`` (graph, kind, label) draws: Zipf graphs, uniform rest."""
+    size = len(inputs["pool"])
+    zipf = 1.0 / np.arange(1, size + 1) ** ZIPF_S
+    graphs = rng.choice(size, count, p=zipf / zipf.sum())
+    kinds = rng.choice(len(REQUEST_KINDS), count)
+    labels = rng.choice(len(LABELS), count)
+    return [
+        (int(g), REQUEST_KINDS[k], LABELS[label])
+        for g, k, label in zip(graphs, kinds, labels)
+    ]
+
+
 def _arrivals(inputs, step: int, rate: float, step_s: float):
-    """Due offsets and (graph, kind, label) draws of one ladder step."""
+    """Due offsets and draws of one open-loop ladder step."""
     rng = np.random.default_rng((inputs["seed"], step))
     count = int(rate * step_s * 1.5) + 20
     offsets = np.cumsum(rng.exponential(1.0 / rate, count))
     offsets = offsets[offsets < step_s]
-    size = len(inputs["pool"])
-    zipf = 1.0 / np.arange(1, size + 1) ** ZIPF_S
-    kinds, kind_weights = zip(*KINDS)
-    graphs = rng.choice(size, len(offsets), p=zipf / zipf.sum())
-    kind_draws = rng.choice(len(kinds), len(offsets), p=kind_weights)
-    labels = rng.choice(len(LABELS), len(offsets))
-    draws = [
-        (int(g), kinds[k], LABELS[label])
-        for g, k, label in zip(graphs, kind_draws, labels)
-    ]
-    return offsets, draws
+    return offsets, _draws(inputs, rng, len(offsets))
 
 
 def _graph(spec):
@@ -121,7 +140,7 @@ class State:
         self.assets.registry.cache_clear()
         self.service = self.new_service()
         for index in range(len(self.graphs)):
-            for kind, _ in KINDS:
+            for kind in REQUEST_KINDS:
                 for label in LABELS:
                     self.service.submit(
                         _request(self, (index, kind, label))
@@ -132,7 +151,7 @@ class State:
         return repro.service.PredictionService(
             registries={GPU: self.assets.registry},
             overhead_dbs=dict(self.assets.overheads),
-            workers=min(2, os.cpu_count() or 1),
+            workers=WORKERS,
         )
 
     def close(self) -> None:
@@ -228,22 +247,25 @@ class _Sender:
         )
 
     def send_closed(self, draws, seconds: float) -> _Step:
-        """Closed loop: each request is sent once the previous resolved."""
+        """Closed loop: ``CLOSED_IN_FLIGHT`` requests in flight, each one
+        replaced as it resolves, for ``seconds``; then the step drains."""
         step = _Step()
-        end = time.perf_counter() + seconds
+        slots = threading.Semaphore(CLOSED_IN_FLIGHT)
+        step.start = time.perf_counter()
+        end = step.start + seconds
         for draw in draws:
+            if not slots.acquire(timeout=DRAIN_S):
+                break
             if time.perf_counter() >= end:
                 break
             sent = _Sent(draw, time.perf_counter())
             sent.sent = sent.due
             future = self.service.submit(_request(self.state, draw))
             step.track(sent, future)
-            try:
-                future.exception(timeout=DRAIN_S)
-            except TimeoutError:
-                break
+            future.add_done_callback(lambda _: slots.release())
         step.close()
-        step.deadline = time.perf_counter()
+        step.deadline = time.perf_counter() + DRAIN_S
+        step.drained.wait(DRAIN_S)
         return step
 
     def send(self, offsets, draws, drain_s: float = DRAIN_S) -> _Step:
@@ -267,10 +289,13 @@ class _Sender:
 def run(state, inputs, seconds: float, calibration, tracer=None) -> Pass:
     """A closed-loop phase, the open-loop rate ladder, a saturating burst.
 
-    * Closed loop: one request in flight at a time for ``CLOSED_SHARE``
-      of the run, in steps of ``SWAP_EVERY_S``.  The end-to-end metrics
-      come from it: ``throughput_per_s`` is its requests per second and
-      the latency metrics summarize its request latencies.
+    * Closed loop: ``CLOSED_IN_FLIGHT`` requests in flight for
+      ``CLOSED_SHARE`` of the run, in steps of ``SWAP_EVERY_S``.  The
+      end-to-end metrics come from it: ``throughput_per_s`` is its
+      requests per second of step time and the latency metrics
+      summarize its request latencies.  A traced run reports the share
+      of that latency spent waiting for a micro-batch to seal and start
+      (``service.closed_wait_share``).
     * Ladder: open-loop ``LADDER`` rates, ``STEP_REQUESTS`` each, up to
       the first step whose p99 latency, timed from due times, exceeds
       ``LATENCY_LIMIT_S``.  The highest sustainable rate it implies
@@ -281,10 +306,9 @@ def run(state, inputs, seconds: float, calibration, tracer=None) -> Pass:
 
     The open-loop figures are recorded, not reported as metrics: on a
     shared host a stall of a few milliseconds queues every request due
-    behind it, and between identical runs they moved by 25-100%.  The
-    figures are not host-normalized: the service's latency is set by
-    thread hand-offs as much as by CPU speed, and neither a CPU nor a
-    hand-off calibration made them steadier.
+    behind it, and between identical runs they moved by 25-100%.
+    Closed-loop figures are host-normalized by calibration samples
+    taken around each step, while the service is idle.
     """
     service = state.service
     result = Pass(outcomes={"sent": [], "swaps": [], "steps": []})
@@ -310,15 +334,35 @@ def run(state, inputs, seconds: float, calibration, tracer=None) -> Pass:
         return latencies
 
     closed_steps = max(1, round(seconds * CLOSED_SHARE / SWAP_EVERY_S))
+    closed_s = normalized_s = 0.0
+    waited_before = tracer.counts["service.wait_s"] if tracer else 0.0
     for index in range(closed_steps):
         sender.swap()
-        _, draws = _arrivals(inputs, index, CLOSED_DRAW_RATE, SWAP_EVERY_S)
-        result.latencies_s += record(
-            sender.send_closed(draws, SWAP_EVERY_S), None
+        draws = _draws(
+            inputs, np.random.default_rng((inputs["seed"], index)),
+            CLOSED_DRAWS,
         )
-    result.slowdowns = [1.0] * len(result.latencies_s)
-    result.throughput = len(result.latencies_s) / sum(result.latencies_s)
-    result.normalized_throughput = result.throughput
+        calibration.sample()
+        step = sender.send_closed(draws, SWAP_EVERY_S)
+        calibration.sample()
+        slowdown = calibration.recent(2)
+        latencies = record(step, None)
+        result.latencies_s += latencies
+        result.slowdowns += [slowdown] * len(latencies)
+        step_s = max(
+            s.done if s.done is not None else step.deadline for s in step.sent
+        ) - step.start
+        closed_s += step_s
+        normalized_s += step_s / slowdown
+    closed_batches = service.stats().batches_dispatched - before.batches_dispatched
+    closed = len(result.latencies_s)
+    result.throughput = closed / closed_s
+    result.normalized_throughput = closed / normalized_s
+    result.layer["service.closed_mean_batch"] = closed / max(closed_batches, 1)
+    if tracer is not None:
+        result.layer["service.closed_wait_share"] = (
+            tracer.counts["service.wait_s"] - waited_before
+        ) / sum(result.latencies_s)
 
     passed = None
     max_rate = LADDER[-1]
@@ -350,7 +394,7 @@ def run(state, inputs, seconds: float, calibration, tracer=None) -> Pass:
     stats = service.stats()
     kernel_cache = stats.kernel_caches[GPU]
     batches = stats.batches_dispatched - before.batches_dispatched
-    result.layer = {
+    result.layer |= {
         "service.requests_sent": result.attempted,
         "service.requests_failed": result.failed,
         "service.batches": batches,
@@ -371,6 +415,7 @@ def run(state, inputs, seconds: float, calibration, tracer=None) -> Pass:
     }
     result.detail = {
         "steps": result.outcomes["steps"],
+        "closed_mean_batch": result.layer["service.closed_mean_batch"],
         "max_rate_qps": max_rate,
         "saturation_qps": saturation_qps,
         "generator_lag_max_ms": max(paced) * 1e3,

@@ -1,7 +1,8 @@
 """Spans and counts at the package's layer boundaries, from outside it.
 
 The tracer wraps public functions and methods of ``repro`` (listed in
-:data:`BOUNDARIES`) for the duration of a traced phase and restores the
+:data:`BOUNDARIES`; the one private method is the service's micro-batch
+executor, whose callers are the service's own threads) for the duration of a traced phase and restores the
 originals afterwards, so the untraced passes run the unmodified code.
 A wrapped call records a span (name, start, end, parent span, op id,
 thread) and may add counts from its arguments or result.  Spans stay in
@@ -31,42 +32,42 @@ def _len(value) -> int:
     return len(value) if value is not None else 0
 
 
-def _count_predict_many(tracer, args, kwargs, result):
+def _count_predict_many(tracer, args, kwargs, result, started):
     tracer.add("perfmodels.kernels_in", _len(args[1]))
 
 
-def _count_predict_batch(tracer, args, kwargs, result):
+def _count_predict_batch(tracer, args, kwargs, result, started):
     tracer.add(f"perfmodels.predicted.{args[0].kernel_type}", _len(result))
 
 
-def _count_traverse(tracer, args, kwargs, result):
+def _count_traverse(tracer, args, kwargs, result, started):
     tracer.add("e2e.kernels_traversed", result.num_kernels)
 
 
-def _count_sweep(tracer, args, kwargs, result):
+def _count_sweep(tracer, args, kwargs, result, started):
     tracer.add("sweep.points_evaluated", len(result))
     tracer.add("sweep.points_pruned", getattr(result, "pruned", 0))
 
 
-def _count_microbench(tracer, args, kwargs, result):
+def _count_microbench(tracer, args, kwargs, result, started):
     tracer.add("microbench.rows", len(result))
 
 
-def _count_overheads(tracer, args, kwargs, result):
+def _count_overheads(tracer, args, kwargs, result, started):
     tracer.add("overheads.ops", len(result.op_names))
 
 
-def _count_simulator(tracer, args, kwargs, result):
+def _count_simulator(tracer, args, kwargs, result, started):
     iterations = kwargs.get("iterations", args[2] if len(args) > 2 else 1)
     warmup = kwargs.get("warmup", args[5] if len(args) > 5 else 0)
     tracer.add("simulator.iterations", iterations + warmup)
 
 
-def _count_serving(tracer, args, kwargs, result):
+def _count_serving(tracer, args, kwargs, result, started):
     tracer.add("serving.requests_simulated", _len(args[1]))
 
 
-def _count_plan(tracer, args, kwargs, result):
+def _count_plan(tracer, args, kwargs, result, started):
     planner = args[0]
     tracer.add("capacity.plans_ranked", len(result))
     tracer.add("capacity.plans_feasible", sum(p.meets_slo for p in result))
@@ -75,6 +76,13 @@ def _count_plan(tracer, args, kwargs, result):
         sum(p.simulated_us is not None and not p.meets_slo for p in result),
     )
     tracer.add("capacity.points_pruned", planner.last_prune_stats["pruned"])
+
+
+def _count_execute(tracer, args, kwargs, result, started):
+    # The service reports no per-request queue time; each queued
+    # request's enqueue stamp is the only source of it.
+    batch = args[1]
+    tracer.add("service.wait_s", sum(started - p.enqueued_at for p in batch))
 
 
 def _span_name_for_train(args, kwargs):
@@ -120,6 +128,8 @@ BOUNDARIES = (
     ("repro.sweep.prune", "plan_lower_bounds_us", "sweep.bounds", None),
     ("repro.service.server", "PredictionService.register_overheads",
      "service.register", None),
+    ("repro.service.server", "PredictionService._execute",
+     "service.execute", _count_execute),
     ("repro.simulator", "SimulatedDevice.run", "simulator.run",
      _count_simulator),
     ("repro.overheads", "OverheadDatabase.from_trace", "overheads.extract",
@@ -239,7 +249,7 @@ class Tracer:
             finally:
                 tracer.exit(span)
             if hook is not None:
-                hook(tracer, args, kwargs, result)
+                hook(tracer, args, kwargs, result, span.start)
             return result
 
         traced.__wrapped__ = original
