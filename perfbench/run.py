@@ -49,7 +49,7 @@ def _parse(argv):
 
 
 def _cap_threads() -> None:
-    """One BLAS thread: the process stays within ``nproc`` threads."""
+    """One BLAS thread, so BLAS starts no threads of its own."""
     for var in (
         "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
         "BLIS_NUM_THREADS", "NUMEXPR_NUM_THREADS",
